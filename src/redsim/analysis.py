@@ -2,9 +2,10 @@
 
 The headline quantity is the loss-averaged, strength-optimized expected pair
 concurrence of a W resource, evaluated pointwise over a loss-probability
-grid and compared against the closed-form GHZ-like benchmarks.  Per-loss
-optima do not depend on the loss probability, so they are computed once and
-cached across a whole curve.
+grid and compared against the closed-form GHZ-like benchmarks.  Branches
+are scored on the lossless chain of ``locc.build_transition_matrix``.
+Per-loss optima and fixed-strength values do not depend on the loss
+probability, so they are computed once and cached across a whole curve.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lossy
-from .locc import BranchState, run_rounds
+from .locc import BranchState, _check_kappa, build_transition_matrix
 
 __all__ = [
     "OptimizationResult",
@@ -37,7 +38,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_POINTS = 101
-THRESHOLD_RESOLUTION = 1e-5
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,10 +60,24 @@ def branch_concurrence(branch: BranchState) -> float:
 
 
 def avg_entanglement(start: BranchState, kappa: float, rounds: int) -> float:
-    """Expected best-pair concurrence after measuring for ``rounds`` rounds."""
-    return sum(
-        t.prob * branch_concurrence(t.branch) for t in run_rounds(start, kappa, rounds)
-    )
+    """Expected best-pair concurrence after measuring for ``rounds`` rounds.
+
+    A terminal branch scores 2/j per unit of W weight on W_j (1 on Bell, 0
+    on sep), and the W weight moves on the lossless chain P on its own, so
+    the score is (w / total) * e_{W_m}^T P^rounds s.  Pairs do not measure.
+    """
+    if rounds < 1:
+        raise ValueError(f"round count must be at least 1, got {rounds}")
+    _check_kappa(kappa)
+    if start.total <= 0.0:
+        raise ValueError("initial branch has no weight")
+    if start.m <= 2:
+        return branch_concurrence(start)
+    chain = build_transition_matrix(start.m, kappa).matrix
+    score = np.append(2.0 / np.arange(start.m, 1, -1), 0.0)
+    for _ in range(rounds):
+        score = chain @ score
+    return start.w_weight / start.total * float(score[0])
 
 
 @dataclass(frozen=True)
@@ -150,13 +164,22 @@ def fom_lower_bound(n_parties: int, rounds: int, eps: float) -> float:
     )
 
 
+@lru_cache(maxsize=256)
+def _fixed_kappa_values(n_parties: int, rounds: int, kappa: float) -> tuple[float, ...]:
+    """Per-loss values at one fixed strength (independent of the loss probability)."""
+    return tuple(
+        avg_entanglement(lossy.w_branch(n_parties, lost), kappa, rounds)
+        for lost in range(n_parties - 1)
+    )
+
+
 def fom_fixed_kappa(n_parties: int, rounds: int, eps: float, kappa: float) -> float:
     """Same loss average with one fixed measurement strength (no optimization)."""
     if not 3 <= n_parties <= 12:
         raise ValueError(f"party count must be in [3, 12], got {n_parties}")
+    values = _fixed_kappa_values(n_parties, rounds, kappa)
     return sum(
-        lossy.loss_weight(n_parties, lost, eps)
-        * avg_entanglement(lossy.w_branch(n_parties, lost), kappa, rounds)
+        lossy.loss_weight(n_parties, lost, eps) * values[lost]
         for lost in range(n_parties - 1)
     )
 
@@ -230,9 +253,9 @@ def build_curve(
 def threshold(curve_a: Curve, curve_b: Curve) -> float | None:
     """Smallest loss probability where curve a overtakes curve b.
 
-    Expects a to start below b; bisects the linear interpolant of a - b on
-    the first sign-changing segment down to a 1e-5 interval.  Returns None
-    when the curves never cross in (0, 1).
+    Expects a to start below b; returns the root of the linear interpolant
+    of a - b on the first sign-changing segment.  Returns None when the
+    curves never cross in (0, 1).
     """
     if curve_a.grid.shape != curve_b.grid.shape or not np.allclose(
         curve_a.grid, curve_b.grid, rtol=0.0, atol=1e-12
@@ -248,15 +271,8 @@ def threshold(curve_a: Curve, curve_b: Curve) -> float | None:
         return None
     glo, ghi = float(curve_a.grid[j - 1]), float(curve_a.grid[j])
     dlo, dhi = float(diff[j - 1]), float(diff[j])
-    lo, hi = glo, ghi
-    while hi - lo > THRESHOLD_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        val = dlo + (dhi - dlo) * (mid - glo) / (ghi - glo)
-        if val > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # dhi > 0 >= dlo, so the chord's root lies in [glo, ghi).
+    return glo + dlo * (ghi - glo) / (dlo - dhi)
 
 
 def derivative_at_zero(f: Callable[[float], float], h: float = 1e-4) -> float:

@@ -5,12 +5,13 @@ weak measurement.  Outcome 0 keeps a party in the game, outcome 1 drops it
 (its qubit collapses to |0>).  Because the shared states are permutation
 symmetric, a whole round is summarized by the count ``j`` of keep-outcomes,
 and a measurement branch by three numbers: the live-party count plus the
-unnormalized weights of its entangled (W) and separable components.  The
-closed-form class weights below are proven equal to the dense
-density-operator computation in the test suite.
+unnormalized weights of its entangled (W) and separable components.  All
+class weights come from one binomial table built by Pascal's rule.
 
-For the lossless start the per-round live-count process is a finite Markov
-chain; ``build_transition_matrix`` exposes it explicitly.
+The W weight evolves on its own, as the finite Markov chain of
+``build_transition_matrix``; branch scores are read off powers of it.
+``evolve_branch`` and ``run_rounds`` are the per-branch view of both weights
+that the tests check the chain against.
 """
 
 from __future__ import annotations
@@ -98,19 +99,32 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"measurement strength must be in [0, 1], got {kappa}")
 
 
+def _binomial_rows(k_max: int, kappa: float) -> list[list[float]]:
+    """rows[k][i] = C(k, i) (1-kappa)^i kappa^(k-i) for 0 <= i <= k <= k_max.
+
+    Pascal's rule never forms a huge coefficient or a tiny power on its own.
+    """
+    keep = 1.0 - kappa
+    rows = [[1.0]]
+    for _ in range(k_max):
+        prev = rows[-1]
+        rows.append([kappa * a + keep * b for a, b in zip(prev + [0.0], [0.0] + prev)])
+    return rows
+
+
 def w_class_weight(m: int, j: int, kappa: float) -> float:
     """Weight of the keep-count-``j`` outcome class for a pure W component.
 
-    C(m, j) * (j / m) * kappa^(m-j) * (1-kappa)^(j-1); the excitation must
-    sit on a kept qubit, which is where the j/m factor comes from.  Summing
-    over j = 1..m gives 1.
+    C(m, j) (j/m) kappa^(m-j) (1-kappa)^(j-1) = C(m-1, j-1) kappa^(m-j)
+    (1-kappa)^(j-1); the excitation must sit on a kept qubit, which is where
+    the j/m factor comes from.  Summing over j = 1..m gives 1.
     """
     if m < 1:
         raise ValueError(f"live count must be at least 1, got {m}")
     if not 1 <= j <= m:
         raise ValueError(f"keep count must be in [1, {m}], got {j}")
     _check_kappa(kappa)
-    return math.comb(m, j) * (j / m) * kappa ** (m - j) * (1.0 - kappa) ** (j - 1)
+    return _binomial_rows(m - 1, kappa)[m - 1][j - 1]
 
 
 def vac_class_weight(m: int, j: int, kappa: float) -> float:
@@ -124,7 +138,7 @@ def vac_class_weight(m: int, j: int, kappa: float) -> float:
     if not 0 <= j <= m:
         raise ValueError(f"keep count must be in [0, {m}], got {j}")
     _check_kappa(kappa)
-    return math.comb(m, j) * kappa ** (m - j) * (1.0 - kappa) ** j
+    return _binomial_rows(m, kappa)[m][j]
 
 
 @dataclass(frozen=True)
@@ -182,10 +196,11 @@ def evolve_branch(branch: BranchState, kappa: float) -> list[OutcomeClass]:
         raise ValueError("cannot measure a branch with no live parties")
     _check_kappa(kappa)
     m = branch.m
+    rows = _binomial_rows(m, kappa)
     out: list[OutcomeClass] = []
     for j in range(m, -1, -1):
-        w_part = branch.w_weight * w_class_weight(m, j, kappa) if j >= 1 else 0.0
-        vac_part = branch.vac_weight * vac_class_weight(m, j, kappa)
+        w_part = branch.w_weight * rows[m - 1][j - 1] if j >= 1 else 0.0
+        vac_part = branch.vac_weight * rows[m][j]
         if j >= 2:
             child = BranchState(j, w_part, vac_part)
         else:
@@ -197,29 +212,21 @@ def evolve_branch(branch: BranchState, kappa: float) -> list[OutcomeClass]:
 
 @dataclass(frozen=True)
 class TerminalBranch:
-    """Terminal ensemble entry: probability, branch, and (optionally) the
-    sequence of keep counts that produced it."""
+    """Terminal ensemble entry: probability and branch."""
 
     prob: float
     branch: BranchState
-    path: tuple[int, ...] | None = None
 
 
-def run_rounds(
-    initial: BranchState, kappa: float, rounds: int, track_paths: bool = False
-) -> list[TerminalBranch]:
+def run_rounds(initial: BranchState, kappa: float, rounds: int) -> list[TerminalBranch]:
     """Evolve a branch for up to ``rounds`` rounds, absorbing at two live parties.
 
     Branches with m <= 2 stop measuring (a pair either is the final resource
     or is separable; measuring further can only lose entanglement).  The
     returned probabilities are normalized to the initial branch weight and
-    sum to 1.
-
-    By default branches that share a live count are merged - the evolution is
+    sum to 1.  Branches that share a live count are merged - the evolution is
     linear in the two weights, so this is exact and keeps the state space at
-    most one entry per live count.  With ``track_paths=True`` every distinct
-    keep-count history is kept separate and reported in ``path`` (absorbed
-    branches stop extending theirs).
+    most one entry per live count.
     """
     if rounds < 1:
         raise ValueError(f"round count must be at least 1, got {rounds}")
@@ -227,31 +234,6 @@ def run_rounds(
     scale = initial.total
     if scale <= 0.0:
         raise ValueError("initial branch has no weight")
-
-    if track_paths:
-        finished: list[tuple[BranchState, tuple[int, ...]]] = []
-        frontier: list[tuple[BranchState, tuple[int, ...]]] = []
-        if initial.m <= 2:
-            finished.append((initial, ()))
-        else:
-            frontier.append((initial, ()))
-        for _ in range(rounds):
-            if not frontier:
-                break
-            nxt: list[tuple[BranchState, tuple[int, ...]]] = []
-            for branch, path in frontier:
-                for cls in evolve_branch(branch, kappa):
-                    entry = (cls.branch, path + (cls.j,))
-                    if cls.j <= 2:
-                        finished.append(entry)
-                    else:
-                        nxt.append(entry)
-            frontier = nxt
-        finished.extend(frontier)
-        return [
-            TerminalBranch(branch.total / scale, branch, path)
-            for branch, path in finished
-        ]
 
     absorbed: dict[int, list[float]] = {}
     live: dict[int, list[float]] = {}
@@ -308,16 +290,13 @@ def build_transition_matrix(n_parties: int, kappa: float) -> TransitionMatrix:
         raise ValueError(f"the chain needs at least 3 parties, got {n_parties}")
     _check_kappa(kappa)
     labels = tuple(f"W{m}" for m in range(n_parties, 2, -1)) + ("Bell", "sep")
-    col = {label: idx for idx, label in enumerate(labels)}
-    size = len(labels)
-    matrix = np.zeros((size, size))
+    rows = _binomial_rows(n_parties - 1, kappa)
+    matrix = np.zeros((n_parties, n_parties))
+    # Keep count j lands in column n_parties - j: W_j, then Bell and sep.
     for m in range(n_parties, 2, -1):
-        row = col[f"W{m}"]
-        for j in range(1, m + 1):
-            target = f"W{j}" if j >= 3 else ("Bell" if j == 2 else "sep")
-            matrix[row, col[target]] += w_class_weight(m, j, kappa)
-    matrix[col["Bell"], col["Bell"]] = 1.0
-    matrix[col["sep"], col["sep"]] = 1.0
+        matrix[n_parties - m, n_parties - m:] = rows[m - 1][::-1]
+    matrix[-2, -2] = 1.0
+    matrix[-1, -1] = 1.0
     return TransitionMatrix(labels, matrix)
 
 

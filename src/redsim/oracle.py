@@ -124,9 +124,10 @@ def _blocks(samples: int) -> list[tuple[int, int]]:
 
 
 def _map_blocks(worker, blocks):
+    # Threads pay off only for the compiled kernel, which releases the GIL.
     budget = thread_budget()
-    if budget > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
+    if BACKEND == "compiled" and budget > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=min(budget, len(blocks))) as pool:
             return list(pool.map(worker, blocks))
     return [worker(block) for block in blocks]
 

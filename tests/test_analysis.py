@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from redsim import analysis
 from redsim.analysis import (
     Curve,
     advantage_ratio,
@@ -18,7 +19,7 @@ from redsim.analysis import (
     threshold,
 )
 from redsim.locc import BranchState
-from redsim.lossy import ghz_benchmark, w_branch
+from redsim.lossy import ghz_benchmark, loss_weight, w_branch
 from redsim.resources import w_sigma
 
 from dense_engine import dense_average
@@ -120,6 +121,28 @@ class TestFomLowerBound:
         values = [fom_lower_bound(5, 1, e) for e in np.linspace(0, 1, 51)]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
+    def test_fixed_strength_curve_scores_each_loss_branch_once(self, monkeypatch):
+        n, rounds, kappa = 7, 3, 0.2718
+        expected = [
+            sum(
+                loss_weight(n, lost, e)
+                * avg_entanglement(w_branch(n, lost), kappa, rounds)
+                for lost in range(n - 1)
+            )
+            for e in default_grid()
+        ]
+        calls = []
+        original = analysis.avg_entanglement
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "avg_entanglement", counting)
+        values = [fom_fixed_kappa(n, rounds, e, kappa) for e in default_grid()]
+        assert len(calls) == n - 1
+        assert values == expected
+
     def test_cached_optima_match_direct_optimization(self):
         optima = branch_optima(5, 2)
         direct = optimize_kappa(w_branch(5, 1), 2)
@@ -172,6 +195,12 @@ class TestThreshold:
         flat = Curve(grid, np.full(grid.size, 0.4), "ghz", 4)
         eps0 = threshold(rising, flat)
         assert abs(eps0 - 0.5) < 1e-4
+
+    def test_root_of_the_crossing_segment_is_exact(self):
+        grid = np.linspace(0, 1, 101)
+        rising = Curve(grid, 0.2 + 0.5 * grid, "w", 4)
+        flat = Curve(grid, np.full(grid.size, 0.4515), "ghz", 4)
+        assert abs(threshold(rising, flat) - 0.503) < 1e-12
 
     def test_identical_curves_have_no_threshold(self):
         curve = build_curve("ghz", 5, 1, default_grid(21))

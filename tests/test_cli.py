@@ -110,6 +110,15 @@ class TestMarkov:
     def test_too_small_chain_exits_one(self):
         assert main(["markov", "--n", "2", "--kappa", "0.5"]) == EXIT_USAGE
 
+    def test_large_chain_rows_sum_to_one(self, tmp_path):
+        out = tmp_path / "chain.tsv"
+        assert main(["markov", "--n", "1100", "--kappa", "0.3", "-o", str(out)]) == EXIT_OK
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 1100
+        for row in rows:
+            # 12 significant digits per entry bound the rounding of each sum.
+            assert abs(sum(float(v) for v in row.split("\t")[1:]) - 1.0) < 1e-9
+
 
 class TestMc:
     def test_defaults_are_byte_identical(self, capsys):

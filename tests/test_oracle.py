@@ -1,6 +1,6 @@
 import pytest
 
-from redsim import _sampler_py
+from redsim import _sampler_py, oracle
 from redsim.analysis import fom_fixed_kappa
 from redsim.oracle import (
     BACKEND,
@@ -139,6 +139,47 @@ class TestClassHistogram:
             mc_class_histogram(0, 0.5, 10, 1)
         with pytest.raises(ValueError):
             mc_class_histogram(3, 0.5, 0, 1)
+
+
+class TestThreadPool:
+    """Blocks go to a thread pool only for the compiled kernel, which runs
+    without the GIL; no real threads are started here."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(oracle, "BLOCK_SAMPLES", 100)
+        monkeypatch.setenv("REDSIM_THREADS", "100000")
+        return made
+
+    def test_workers_capped_at_block_count(self, monkeypatch, pools):
+        monkeypatch.setattr(oracle, "BACKEND", "compiled")
+        cfg = McConfig(4, 2, 0.3, 250, 8)
+        pooled = mc_estimate(cfg)
+        assert pools == [3]
+        monkeypatch.delenv("REDSIM_THREADS")
+        assert mc_estimate(cfg) == pooled
+
+    def test_python_kernel_never_builds_a_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(oracle, "BACKEND", "python")
+        mc_estimate(McConfig(4, 2, 0.3, 250, 8))
+        mc_class_histogram(4, 0.3, 250, 8)
+        assert pools == []
 
 
 class TestThreadBudget:

@@ -1,0 +1,67 @@
+"""Randomized invariants of the branch engine: the chain score against the
+per-branch reference, stochastic chain rows and normalized class weights."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from redsim.analysis import avg_entanglement, branch_concurrence
+from redsim.locc import (
+    BranchState,
+    build_transition_matrix,
+    evolve_branch,
+    run_rounds,
+    vac_class_weight,
+    w_class_weight,
+)
+from redsim.lossy import w_branch
+
+kappas = st.floats(0.0, 1.0)
+
+
+@st.composite
+def survivor_branches(draw):
+    n = draw(st.integers(3, 12))
+    return w_branch(n, draw(st.integers(0, n - 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(survivor_branches(), kappas, st.integers(1, 20))
+def test_chain_score_matches_branch_reference(start, kappa, rounds):
+    reference = sum(
+        t.prob * branch_concurrence(t.branch) for t in run_rounds(start, kappa, rounds)
+    )
+    assert abs(avg_entanglement(start, kappa, rounds) - reference) < 1e-12
+
+
+@settings(deadline=None)
+@given(st.integers(3, 200), kappas)
+def test_chain_rows_are_stochastic(n, kappa):
+    matrix = build_transition_matrix(n, kappa).matrix
+    assert np.all(matrix >= 0.0)
+    assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) < 1e-12
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), kappas)
+def test_class_weights_sum_to_one(m, kappa):
+    w_total = math.fsum(w_class_weight(m, j, kappa) for j in range(1, m + 1))
+    vac_total = math.fsum(vac_class_weight(m, j, kappa) for j in range(m + 1))
+    assert abs(w_total - 1.0) < 1e-12
+    assert abs(vac_total - 1.0) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(2, 1100), kappas)
+def test_class_weights_of_large_rounds_sum_to_one(data, m, kappa):
+    # evolve_branch reads the same table as the class-weight functions, so
+    # one round of a pure component sums a whole family of class weights.
+    w_classes = evolve_branch(BranchState(m, 1.0, 0.0), kappa)
+    vac_classes = evolve_branch(BranchState(m, 0.0, 1.0), kappa)
+    assert abs(math.fsum(c.prob for c in w_classes) - 1.0) < 1e-12
+    assert abs(math.fsum(c.prob for c in vac_classes) - 1.0) < 1e-12
+    j = data.draw(st.integers(1, m))
+    w_mass = {c.j: c.prob for c in w_classes}.get(j, 0.0)
+    assert w_mass == w_class_weight(m, j, kappa)
