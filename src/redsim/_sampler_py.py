@@ -1,9 +1,13 @@
-"""Pure-Python sampling kernel.
+"""Sampling kernel of the Monte Carlo oracle, vectorized with numpy.
 
-Mirrors ``redsim._sampler_cy`` operation for operation: same counter-based
-SplitMix64 generator, same class-weight arithmetic built from multiply,
-divide and compare only, same accumulation order.  Both backends therefore
-return bit-identical accumulators for the same arguments.
+Every draw comes from a counter-based SplitMix64 stream and is a pure
+function of ``(seed, sample, draw)``, so a lane of samples can run side by
+side without changing any draw.  Class weights are tabulated per
+``(lost, m, j)`` with the scalar multiply order; each round walks the
+outcome classes from ``j = m`` down through a sequential cumulative sum; and
+a block adds its sample values in index order.  The kernel therefore returns
+the same bits as the one-sample-at-a-time reference in
+``tests/scalar_sampler.py``.
 """
 
 from __future__ import annotations
@@ -11,25 +15,40 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 BACKEND_NAME = "python"
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / 9007199254740992.0
 
-_BINOM = [[float(math.comb(m, j)) for j in range(13)] for m in range(13)]
+# Samples vectorized at once; bounds the kernel's scratch memory per block.
+_LANES = 4096
 
 
-def _mix(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on uint64 lanes (arithmetic wraps modulo 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _u01(seed: int, t: int) -> float:
-    x = _mix((seed + (t + 1) * _GOLDEN) & _MASK)
-    return (x >> 11) * _INV_2_53
+def _u01(sub: np.ndarray, t: int) -> np.ndarray:
+    """Draw ``t`` of each lane's substream as a double in [0, 1)."""
+    x = _mix(sub + np.uint64((t + 1) * _GOLDEN & _MASK))
+    return (x >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def _substreams(seed: int, start: int, count: int) -> np.ndarray:
+    """Substream seeds of samples ``start .. start + count - 1``."""
+    first = np.uint64((seed + (start + 1) * _GOLDEN) & _MASK)
+    return _mix(first + np.arange(count, dtype=np.uint64) * np.uint64(_GOLDEN))
+
+
+def _chunks(start: int, count: int):
+    for offset in range(0, count, _LANES):
+        yield start + offset, min(_LANES, count - offset)
 
 
 def _w_class(m: int, j: int, kappa: float, omk: float) -> float:
@@ -38,7 +57,7 @@ def _w_class(m: int, j: int, kappa: float, omk: float) -> float:
         base *= kappa
     for _ in range(j - 1):
         base *= omk
-    return _BINOM[m][j] * j * base / m
+    return float(math.comb(m, j)) * j * base / m
 
 
 def _vac_class(m: int, j: int, kappa: float, omk: float) -> float:
@@ -47,67 +66,77 @@ def _vac_class(m: int, j: int, kappa: float, omk: float) -> float:
         base *= kappa
     for _ in range(j):
         base *= omk
-    return _BINOM[m][j] * base
+    return float(math.comb(m, j)) * base
 
 
-def _sample_value(
-    sub: int, n_parties: int, rounds: int, eps: float, kappas: Sequence[float]
-) -> float:
-    t = 0
-    lost = 0
-    for _ in range(n_parties - 2):
-        if _u01(sub, t) < eps:
-            lost += 1
-        t += 1
+def _class_rows(n_parties: int, kappas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """W and vacuum class weights, one row per ``lost * (n + 1) + m``.
+
+    Column ``c`` holds class ``j = n - c``, so a row runs from ``j = n`` down
+    to ``j = 0``; classes above ``m`` stay zero and add nothing to a prefix sum.
+    """
+    size = n_parties + 1
+    w_rows = np.zeros(((n_parties - 1) * size, size))
+    vac_rows = np.zeros_like(w_rows)
+    for lost in range(n_parties - 1):
+        kappa = float(kappas[lost])
+        omk = 1.0 - kappa
+        for m in range(3, n_parties - lost + 1):
+            row = lost * size + m
+            for j in range(m + 1):
+                if j >= 1:
+                    w_rows[row, n_parties - j] = _w_class(m, j, kappa, omk)
+                vac_rows[row, n_parties - j] = _vac_class(m, j, kappa, omk)
+    return w_rows, vac_rows
+
+
+def _sample_values(
+    sub: np.ndarray,
+    n_parties: int,
+    rounds: int,
+    eps: float,
+    w_rows: np.ndarray,
+    vac_rows: np.ndarray,
+) -> np.ndarray:
+    """Terminal best-pair concurrence of each lane's sample."""
+    lost = np.zeros(sub.size, dtype=np.int64)
+    for t in range(n_parties - 2):
+        lost += _u01(sub, t) < eps
     m = n_parties - lost
     w_w = m / n_parties
     w_vac = lost / n_parties
-    kappa = kappas[lost]
-    omk = 1.0 - kappa
-    for _ in range(rounds):
-        if m <= 2:
+    size = n_parties + 1
+    pair_cols = np.arange(size) <= n_parties - 2  # classes j >= 2 keep a W part
+    live = np.flatnonzero(m > 2)
+    for t in range(n_parties - 2, n_parties - 2 + rounds):
+        if live.size == 0:
             break
-        u = _u01(sub, t)
-        t += 1
-        target = u * (w_w + w_vac)
-        acc = 0.0
-        sel = -1
-        sel_w = 0.0
-        sel_vac = 0.0
-        for j in range(m, -1, -1):
-            w_part = w_w * _w_class(m, j, kappa, omk) if j >= 1 else 0.0
-            vac_part = w_vac * _vac_class(m, j, kappa, omk)
-            if j >= 2:
-                child_w = w_part
-                child_vac = vac_part
-            else:
-                child_w = 0.0
-                child_vac = vac_part + w_part
-            acc += child_w + child_vac
-            if target < acc:
-                sel = j
-                sel_w = child_w
-                sel_vac = child_vac
-                break
-        if sel < 0:
-            # Rounding dust pushed the target past the total: all-drop class.
-            sel = 0
-            sel_w = 0.0
-            sel_vac = w_vac * _vac_class(m, 0, kappa, omk)
-        m = sel
+        ww = w_w[live]
+        wv = w_vac[live]
+        rows = lost[live] * size + m[live]
+        w_part = ww[:, None] * w_rows[rows]
+        vac_part = wv[:, None] * vac_rows[rows]
+        child_w = np.where(pair_cols, w_part, 0.0)
+        child_vac = np.where(pair_cols, vac_part, vac_part + w_part)
+        target = _u01(sub[live], t) * (ww + wv)
+        hit = target[:, None] < np.cumsum(child_w + child_vac, axis=1)
+        # Rounding dust can push the target past the total: all-drop class.
+        hit[:, -1] = True
+        col = hit.argmax(axis=1)
+        lane = np.arange(live.size)
+        sel_w = child_w[lane, col]
+        sel_vac = child_vac[lane, col]
         total = sel_w + sel_vac
-        if total <= 0.0:
-            w_w = 0.0
-            w_vac = 0.0
-            break
-        w_w = sel_w / total
-        w_vac = sel_vac / total
-    if m < 2:
-        return 0.0
+        alive = total > 0.0
+        m[live] = n_parties - col
+        w_w[live] = np.divide(sel_w, total, out=np.zeros_like(total), where=alive)
+        w_vac[live] = np.divide(sel_vac, total, out=np.zeros_like(total), where=alive)
+        live = live[alive & (m[live] > 2)]
     total = w_w + w_vac
-    if total <= 0.0:
-        return 0.0
-    return 2.0 / m * w_w / total
+    scored = (m >= 2) & (total > 0.0)
+    values = np.zeros(sub.size)
+    values[scored] = 2.0 / m[scored] * w_w[scored] / total[scored]
+    return values
 
 
 def mc_accumulate(
@@ -120,30 +149,32 @@ def mc_accumulate(
     kappas: Sequence[float],
 ) -> tuple[float, float]:
     """Sum and sum of squares of the sample scores for one index block."""
-    table = [float(k) for k in kappas]
+    w_rows, vac_rows = _class_rows(n_parties, kappas)
     acc = 0.0
     acc_sq = 0.0
-    for k in range(count):
-        sub = _mix((seed + (start + k + 1) * _GOLDEN) & _MASK)
-        value = _sample_value(sub, n_parties, rounds, eps, table)
-        acc += value
-        acc_sq += value * value
+    for first, lanes in _chunks(start, count):
+        values = _sample_values(
+            _substreams(seed, first, lanes), n_parties, rounds, eps, w_rows, vac_rows
+        )
+        # In sample order: np.sum adds pairwise and would change the bits.
+        for value in values.tolist():
+            acc += value
+            acc_sq += value * value
     return acc, acc_sq
 
 
 def class_counts(seed: int, start: int, count: int, m: int, kappa: float) -> list[int]:
     """Single-round keep-count tallies for a pure W start, indexed 0..m."""
-    counts = [0] * (m + 1)
     omk = 1.0 - kappa
-    for k in range(count):
-        sub = _mix((seed + (start + k + 1) * _GOLDEN) & _MASK)
-        u = _u01(sub, 0)
-        acc = 0.0
-        sel = 1
-        for j in range(m, 0, -1):
-            acc += _w_class(m, j, kappa, omk)
-            if u < acc:
-                sel = j
-                break
-        counts[sel] += 1
-    return counts
+    bounds = []
+    acc = 0.0
+    for j in range(m, 0, -1):
+        acc += _w_class(m, j, kappa, omk)
+        bounds.append(acc)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for first, lanes in _chunks(start, count):
+        u = _u01(_substreams(seed, first, lanes), 0)
+        # First class whose running bound exceeds u; past the last, class 1.
+        passed = np.searchsorted(bounds, u, side="right")
+        counts += np.bincount(m - np.minimum(passed, m - 1), minlength=m + 1)
+    return counts.tolist()

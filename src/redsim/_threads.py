@@ -1,8 +1,9 @@
 """Translation of the REDSIM_THREADS environment variable.
 
-The variable caps the number of worker threads used for internal grids and
-sample blocks: unset means serial, 0 means one thread per CPU, any other
-nonnegative integer is taken literally.
+The variable is a worker-thread budget: unset means serial, 0 means one
+thread per CPU, any other nonnegative integer is taken literally.  The CLI
+validates it up front; no code path runs in parallel, so it does not change
+what runs.
 """
 
 from __future__ import annotations

@@ -136,6 +136,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_curve(args) -> int:
+    if args.kappa is not None and args.resource != "w":
+        raise UsageError("--kappa applies only to --resource w")
     if args.resource == "w":
         if args.kappa is not None:
             if not 0.0 <= args.kappa <= 1.0:

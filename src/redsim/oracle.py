@@ -11,42 +11,30 @@ run with seed ``s`` uses the substream seed ``mix(s + (k+1) * G)`` and draw
 ``t`` inside a sample is ``mix(sub + (t+1) * G)``, with ``G`` the 64-bit
 golden-gamma constant and ``mix`` the SplitMix64 finalizer.  Every draw is a
 pure function of ``(seed, sample index, draw index)``, so results do not
-depend on batching or thread count, and the kernels avoid transcendental
-functions so that the compiled and pure-Python backends agree bit for bit.
+depend on batching.  The one kernel, ``redsim._sampler_py``, runs lanes
+of samples at once with numpy and matches the scalar reference in
+``tests/scalar_sampler.py`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from . import _sampler_py as _backend
 from . import analysis
 from .locc import w_class_weight
-from ._threads import thread_budget
-
-PURE_ENV = "REDSIM_PURE_PYTHON"
-
-if os.environ.get(PURE_ENV, "").strip() not in {"", "0"}:
-    from . import _sampler_py as _backend
-else:
-    try:
-        from . import _sampler_cy as _backend  # compiled hot path
-    except ImportError:  # no extension built: fall back transparently
-        from . import _sampler_py as _backend
 
 BACKEND = _backend.BACKEND_NAME
 
 # Samples are accumulated in fixed blocks and the per-block partial sums are
-# combined in block order, so the result is independent of the thread count.
+# combined in block order; this partial-sum structure fixes the output bits.
 BLOCK_SAMPLES = 1 << 15
 
 _MAX_SEED = (1 << 64) - 1
 
 __all__ = [
     "BACKEND",
-    "PURE_ENV",
     "McConfig",
     "McEstimate",
     "ClassHistogram",
@@ -116,35 +104,21 @@ def _kappa_table(cfg: McConfig) -> list[float]:
     return [res.kappa for res in analysis.branch_optima(cfg.n_parties, cfg.rounds)]
 
 
-def _blocks(samples: int) -> list[tuple[int, int]]:
-    return [
-        (start, min(BLOCK_SAMPLES, samples - start))
-        for start in range(0, samples, BLOCK_SAMPLES)
-    ]
-
-
-def _map_blocks(worker, blocks):
-    # Threads pay off only for the compiled kernel, which releases the GIL.
-    budget = thread_budget()
-    if BACKEND == "compiled" and budget > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=min(budget, len(blocks))) as pool:
-            return list(pool.map(worker, blocks))
-    return [worker(block) for block in blocks]
+def _blocks(samples: int):
+    """Yield ``(start, count)`` of each block in index order."""
+    for start in range(0, samples, BLOCK_SAMPLES):
+        yield start, min(BLOCK_SAMPLES, samples - start)
 
 
 def mc_estimate(cfg: McConfig) -> McEstimate:
     """Sample mean and standard error of the terminal best-pair concurrence."""
     table = _kappa_table(cfg)
-
-    def worker(block):
-        start, count = block
-        return _backend.mc_accumulate(
-            cfg.seed, start, count, cfg.n_parties, cfg.rounds, cfg.eps, table
-        )
-
     acc = 0.0
     acc_sq = 0.0
-    for part, part_sq in _map_blocks(worker, _blocks(cfg.samples)):
+    for start, count in _blocks(cfg.samples):
+        part, part_sq = _backend.mc_accumulate(
+            cfg.seed, start, count, cfg.n_parties, cfg.rounds, cfg.eps, table
+        )
         acc += part
         acc_sq += part_sq
     n = cfg.samples
@@ -176,12 +150,9 @@ def mc_class_histogram(m: int, kappa: float, samples: int, seed: int) -> ClassHi
     if not 0 <= seed <= _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit value, got {seed}")
 
-    def worker(block):
-        start, count = block
-        return _backend.class_counts(seed, start, count, m, kappa)
-
     counts = [0] * (m + 1)
-    for part in _map_blocks(worker, _blocks(samples)):
+    for start, count in _blocks(samples):
+        part = _backend.class_counts(seed, start, count, m, kappa)
         for j, c in enumerate(part):
             counts[j] += c
     chi_square = 0.0

@@ -1,0 +1,148 @@
+"""Scalar reference for the sampling kernel, one sample at a time.
+
+The vectorized ``redsim._sampler_py`` must match it bit for bit: same
+counter-based SplitMix64 generator, same class-weight arithmetic built from
+multiply, divide and compare only, same accumulation order.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+BACKEND_NAME = "python"
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_INV_2_53 = 1.0 / 9007199254740992.0
+
+_BINOM = [[float(math.comb(m, j)) for j in range(13)] for m in range(13)]
+
+
+def _mix(z: int) -> int:
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _u01(seed: int, t: int) -> float:
+    x = _mix((seed + (t + 1) * _GOLDEN) & _MASK)
+    return (x >> 11) * _INV_2_53
+
+
+def _w_class(m: int, j: int, kappa: float, omk: float) -> float:
+    base = 1.0
+    for _ in range(m - j):
+        base *= kappa
+    for _ in range(j - 1):
+        base *= omk
+    return _BINOM[m][j] * j * base / m
+
+
+def _vac_class(m: int, j: int, kappa: float, omk: float) -> float:
+    base = 1.0
+    for _ in range(m - j):
+        base *= kappa
+    for _ in range(j):
+        base *= omk
+    return _BINOM[m][j] * base
+
+
+def _sample_value(
+    sub: int, n_parties: int, rounds: int, eps: float, kappas: Sequence[float]
+) -> float:
+    t = 0
+    lost = 0
+    for _ in range(n_parties - 2):
+        if _u01(sub, t) < eps:
+            lost += 1
+        t += 1
+    m = n_parties - lost
+    w_w = m / n_parties
+    w_vac = lost / n_parties
+    kappa = kappas[lost]
+    omk = 1.0 - kappa
+    for _ in range(rounds):
+        if m <= 2:
+            break
+        u = _u01(sub, t)
+        t += 1
+        target = u * (w_w + w_vac)
+        acc = 0.0
+        sel = -1
+        sel_w = 0.0
+        sel_vac = 0.0
+        for j in range(m, -1, -1):
+            w_part = w_w * _w_class(m, j, kappa, omk) if j >= 1 else 0.0
+            vac_part = w_vac * _vac_class(m, j, kappa, omk)
+            if j >= 2:
+                child_w = w_part
+                child_vac = vac_part
+            else:
+                child_w = 0.0
+                child_vac = vac_part + w_part
+            acc += child_w + child_vac
+            if target < acc:
+                sel = j
+                sel_w = child_w
+                sel_vac = child_vac
+                break
+        if sel < 0:
+            # Rounding dust pushed the target past the total: all-drop class.
+            sel = 0
+            sel_w = 0.0
+            sel_vac = w_vac * _vac_class(m, 0, kappa, omk)
+        m = sel
+        total = sel_w + sel_vac
+        if total <= 0.0:
+            w_w = 0.0
+            w_vac = 0.0
+            break
+        w_w = sel_w / total
+        w_vac = sel_vac / total
+    if m < 2:
+        return 0.0
+    total = w_w + w_vac
+    if total <= 0.0:
+        return 0.0
+    return 2.0 / m * w_w / total
+
+
+def mc_accumulate(
+    seed: int,
+    start: int,
+    count: int,
+    n_parties: int,
+    rounds: int,
+    eps: float,
+    kappas: Sequence[float],
+) -> tuple[float, float]:
+    """Sum and sum of squares of the sample scores for one index block."""
+    table = [float(k) for k in kappas]
+    acc = 0.0
+    acc_sq = 0.0
+    for k in range(count):
+        sub = _mix((seed + (start + k + 1) * _GOLDEN) & _MASK)
+        value = _sample_value(sub, n_parties, rounds, eps, table)
+        acc += value
+        acc_sq += value * value
+    return acc, acc_sq
+
+
+def class_counts(seed: int, start: int, count: int, m: int, kappa: float) -> list[int]:
+    """Single-round keep-count tallies for a pure W start, indexed 0..m."""
+    counts = [0] * (m + 1)
+    omk = 1.0 - kappa
+    for k in range(count):
+        sub = _mix((seed + (start + k + 1) * _GOLDEN) & _MASK)
+        u = _u01(sub, 0)
+        acc = 0.0
+        sel = 1
+        for j in range(m, 0, -1):
+            acc += _w_class(m, j, kappa, omk)
+            if u < acc:
+                sel = j
+                break
+        counts[sel] += 1
+    return counts

@@ -55,6 +55,12 @@ class TestCurve:
         rows = read_rows(out)
         assert abs(rows[0][1] - 0.75) < 1e-12
 
+    @pytest.mark.parametrize("resource", ["ghz", "twocentered"])
+    def test_strength_for_fixed_resource_exits_one(self, resource, capsys):
+        argv = ["curve", "--resource", resource, "--n", "5", "--kappa", "0.3"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --kappa applies only to --resource w\n"
+
     def test_invalid_resource_exits_one(self):
         assert main(["curve", "--resource", "cluster", "--n", "4"]) == EXIT_USAGE
 

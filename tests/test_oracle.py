@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import scalar_sampler
 from redsim import _sampler_py, oracle
 from redsim.analysis import fom_fixed_kappa
 from redsim.oracle import (
@@ -11,15 +13,6 @@ from redsim.oracle import (
 )
 from redsim._threads import thread_budget
 from redsim.locc import w_class_weight
-
-try:
-    from redsim import _sampler_cy
-except ImportError:  # extension not built in this environment
-    _sampler_cy = None
-
-needs_extension = pytest.mark.skipif(
-    _sampler_cy is None, reason="compiled sampler not built"
-)
 
 
 class TestConfigValidation:
@@ -64,25 +57,26 @@ class TestDeterminism:
 
 
 class TestBackendParity:
-    @needs_extension
+    """The numpy kernel against the one-sample-at-a-time scalar reference."""
+
     def test_accumulators_are_bit_identical(self):
         table = [0.4, 0.45, 0.5, 0.55]
-        py = _sampler_py.mc_accumulate(977, 0, 50_000, 5, 3, 0.35, table)
-        cy = _sampler_cy.mc_accumulate(977, 0, 50_000, 5, 3, 0.35, table)
-        assert py == cy
+        fast = _sampler_py.mc_accumulate(977, 0, 50_000, 5, 3, 0.35, table)
+        scalar = scalar_sampler.mc_accumulate(977, 0, 50_000, 5, 3, 0.35, table)
+        assert fast == scalar
 
-    @needs_extension
     def test_class_counts_match(self):
-        py = _sampler_py.class_counts(31, 0, 30_000, 6, 0.6)
-        cy = _sampler_cy.class_counts(31, 0, 30_000, 6, 0.6)
-        assert py == cy
+        fast = _sampler_py.class_counts(31, 0, 30_000, 6, 0.6)
+        scalar = scalar_sampler.class_counts(31, 0, 30_000, 6, 0.6)
+        assert fast == scalar
 
-    @needs_extension
     def test_rng_primitives_match(self):
-        for z in (0, 1, 42, (1 << 64) - 1):
-            assert _sampler_py._mix(z) == _sampler_cy.mix64(z)
+        words = (0, 1, 42, (1 << 64) - 1)
+        mixed = _sampler_py._mix(np.array(words, dtype=np.uint64))
+        assert [int(z) for z in mixed] == [scalar_sampler._mix(z) for z in words]
         for t in range(5):
-            assert _sampler_py._u01(12345, t) == _sampler_cy.u01(12345, t)
+            draws = _sampler_py._u01(np.array(words, dtype=np.uint64), t)
+            assert draws.tolist() == [scalar_sampler._u01(z, t) for z in words]
 
 
 class TestEstimates:
@@ -141,45 +135,9 @@ class TestClassHistogram:
             mc_class_histogram(3, 0.5, 0, 1)
 
 
-class TestThreadPool:
-    """Blocks go to a thread pool only for the compiled kernel, which runs
-    without the GIL; no real threads are started here."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        made = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(oracle, "BLOCK_SAMPLES", 100)
-        monkeypatch.setenv("REDSIM_THREADS", "100000")
-        return made
-
-    def test_workers_capped_at_block_count(self, monkeypatch, pools):
-        monkeypatch.setattr(oracle, "BACKEND", "compiled")
-        cfg = McConfig(4, 2, 0.3, 250, 8)
-        pooled = mc_estimate(cfg)
-        assert pools == [3]
-        monkeypatch.delenv("REDSIM_THREADS")
-        assert mc_estimate(cfg) == pooled
-
-    def test_python_kernel_never_builds_a_pool(self, monkeypatch, pools):
-        monkeypatch.setattr(oracle, "BACKEND", "python")
-        mc_estimate(McConfig(4, 2, 0.3, 250, 8))
-        mc_class_histogram(4, 0.3, 250, 8)
-        assert pools == []
+class TestBlocks:
+    def test_blocks_are_walked_lazily(self):
+        assert next(oracle._blocks(10**18)) == (0, oracle.BLOCK_SAMPLES)
 
 
 class TestThreadBudget:

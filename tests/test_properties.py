@@ -1,12 +1,16 @@
-"""Randomized invariants of the branch engine: the chain score against the
-per-branch reference, stochastic chain rows and normalized class weights."""
+"""Randomized invariants: the chain score against the per-branch reference,
+stochastic chain rows, normalized class weights, and the sampling kernel
+against its scalar reference."""
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_sampler
+from redsim import _sampler_py
 from redsim.analysis import avg_entanglement, branch_concurrence
 from redsim.locc import (
     BranchState,
@@ -19,6 +23,12 @@ from redsim.locc import (
 from redsim.lossy import w_branch
 
 kappas = st.floats(0.0, 1.0)
+unit_ends = st.sampled_from((0.0, 1.0)) | kappas
+seeds = st.sampled_from((0, (1 << 64) - 1)) | st.integers(0, (1 << 64) - 1)
+# A few samples, or just past one lane chunk of the vectorized kernel.
+sample_counts = st.integers(1, 64) | st.integers(
+    _sampler_py._LANES - 2, _sampler_py._LANES + 64
+)
 
 
 @st.composite
@@ -65,3 +75,35 @@ def test_class_weights_of_large_rounds_sum_to_one(data, m, kappa):
     j = data.draw(st.integers(1, m))
     w_mass = {c.j: c.prob for c in w_classes}.get(j, 0.0)
     assert w_mass == w_class_weight(m, j, kappa)
+
+
+@st.composite
+def kernel_runs(draw):
+    n = draw(st.integers(3, 12))
+    return (
+        draw(seeds),
+        draw(st.integers(0, 1 << 40)),
+        draw(sample_counts),
+        n,
+        draw(st.integers(1, 20)),
+        draw(unit_ends),
+        draw(st.lists(unit_ends, min_size=n - 1, max_size=n - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_runs())
+def test_sampling_kernel_matches_scalar_reference(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast = _sampler_py.mc_accumulate(*args)
+    assert fast == scalar_sampler.mc_accumulate(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(0, 1 << 40), sample_counts, st.integers(1, 12), unit_ends)
+def test_class_counts_match_scalar_reference(seed, start, count, m, kappa):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast = _sampler_py.class_counts(seed, start, count, m, kappa)
+    assert fast == scalar_sampler.class_counts(seed, start, count, m, kappa)
