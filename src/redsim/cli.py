@@ -81,8 +81,8 @@ def build_parser() -> _Parser:
     curve.add_argument("--resource", required=True, choices=analysis.RESOURCES)
     curve.add_argument("--n", type=int, required=True, help="network size")
     curve.add_argument("--rounds", type=int, default=1, help="measurement rounds (W resource)")
-    curve.add_argument("--mode", choices=lossy.BENCHMARK_MODES, default="robust",
-                       help="two-centered benchmark mode")
+    curve.add_argument("--mode", choices=lossy.BENCHMARK_MODES, default=None,
+                       help="two-centered benchmark mode (default robust)")
     curve.add_argument("--kappa", type=float, default=None,
                        help="fixed measurement strength instead of per-loss optimization")
     _add_grid_flags(curve)
@@ -138,6 +138,10 @@ def build_parser() -> _Parser:
 def cmd_curve(args) -> int:
     if args.kappa is not None and args.resource != "w":
         raise UsageError("--kappa applies only to --resource w")
+    if args.mode is not None and args.resource != "twocentered":
+        raise UsageError("--mode applies only to --resource twocentered")
+    if args.mode is None:
+        args.mode = "robust"
     if args.resource == "w":
         if args.kappa is not None:
             if not 0.0 <= args.kappa <= 1.0:

@@ -6,6 +6,9 @@ transparent and easy to audit at the cost of capping the register size at
 limit).  Qubit 0 is the leftmost tensor factor, so the basis index of a
 computational state is read in the same order as the bit string.
 
+The partial trace makes no full-size temporary: it sums strided diagonal
+views in one ``einsum``, reading 2^(n-k) * 4^k entries to keep k of n qubits.
+
 All functions are pure: they never mutate their inputs and never retain a
 reference to caller-owned arrays.
 """
@@ -190,22 +193,27 @@ def tensor(factors: Sequence[Ket] | Sequence[LinearOp]):
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Reduced operator on the kept qubits (indices in big-endian order)."""
+    """Reduced operator on the kept qubits (indices in big-endian order).
+
+    One ``einsum`` over the operator's ``(2,) * 2n`` tensor form: a traced
+    qubit carries the same label on its row and column axis, so numpy sums a
+    strided diagonal view.  It reads 2^(n-k) * 4^k entries for k kept qubits
+    and allocates nothing beyond the 4^k-entry result.
+    """
     n = rho.num_qubits
     kept = sorted({int(q) for q in keep})
     if not kept:
         raise ValueError("keep set must not be empty")
     if kept[0] < 0 or kept[-1] >= n:
         raise ValueError(f"qubit index out of range for {n} qubits: {kept}")
-    if len(kept) == n:
-        return DensityOperator(rho.matrix)
-    tensor_form = rho.matrix.reshape((2,) * (2 * n))
-    live = n
-    for q in sorted(set(range(n)) - set(kept), reverse=True):
-        tensor_form = np.trace(tensor_form, axis1=q, axis2=q + live)
-        live -= 1
+    columns = [n + q if q in kept else q for q in range(n)]
+    reduced = np.einsum(
+        rho.matrix.reshape((2,) * (2 * n)),
+        list(range(n)) + columns,
+        kept + [n + q for q in kept],
+    )
     dim = 1 << len(kept)
-    return DensityOperator(tensor_form.reshape(dim, dim))
+    return DensityOperator(reduced.reshape(dim, dim))
 
 
 def apply_kraus(m: LinearOp, rho: DensityOperator):

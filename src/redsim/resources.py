@@ -133,15 +133,19 @@ def w_sigma(n_parties: int, lost: int) -> DensityOperator:
 
     Closed form: the vacuum projector with weight lost/n plus a smaller W
     state with weight (n - lost)/n.  Equals the partial trace of the full
-    W projector over the lost qubits.
+    W projector over the lost qubits.  Only the (m+1) x (m+1) block on the
+    vacuum and the m single-excitation states is written into a zeroed
+    matrix, so no full-size outer product is formed.
     """
     if not 2 <= n_parties <= MAX_QUBITS:
         raise ValueError(f"party count must be in [2, {MAX_QUBITS}], got {n_parties}")
     if not 0 <= lost <= n_parties - 2:
         raise ValueError(f"lost count must be in [0, {n_parties - 2}], got {lost}")
     m = n_parties - lost
-    w = w_state(m)
-    mat = (m / n_parties) * np.outer(w.amplitudes, w.amplitudes.conj())
+    support = [0] + [1 << q for q in range(m)]
+    amp = w_state(m).amplitudes[support]
+    mat = np.zeros((1 << m, 1 << m), dtype=np.complex128)
+    mat[np.ix_(support, support)] = (m / n_parties) * np.outer(amp, amp.conj())
     mat[0, 0] += lost / n_parties
     return DensityOperator(mat)
 

@@ -61,6 +61,22 @@ class TestCurve:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: --kappa applies only to --resource w\n"
 
+    @pytest.mark.parametrize("resource", ["w", "ghz"])
+    def test_mode_for_other_resource_exits_one(self, resource, tmp_path, capsys):
+        out = tmp_path / "x.tsv"
+        argv = ["curve", "--resource", resource, "--n", "4", "--mode", "strict",
+                "--points", "3", "-o", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --mode applies only to --resource twocentered\n"
+        assert not out.exists()
+
+    def test_two_centered_mode_defaults_to_robust(self, tmp_path):
+        paths = [tmp_path / "default.tsv", tmp_path / "robust.tsv"]
+        base = ["curve", "--resource", "twocentered", "--n", "6", "--points", "5"]
+        assert main(base + ["-o", str(paths[0])]) == EXIT_OK
+        assert main(base + ["--mode", "robust", "-o", str(paths[1])]) == EXIT_OK
+        assert paths[0].read_text() == paths[1].read_text()
+
     def test_invalid_resource_exits_one(self):
         assert main(["curve", "--resource", "cluster", "--n", "4"]) == EXIT_USAGE
 

@@ -1,7 +1,9 @@
 """Randomized invariants: the chain score against the per-branch reference,
-stochastic chain rows, normalized class weights, and the sampling kernel
-against its scalar reference."""
+stochastic chain rows, normalized class weights, the sampling kernel against
+its scalar reference, the dense partial trace and W survivor states against
+their reference constructions, and the shape of every curve."""
 
+import itertools
 import math
 import warnings
 
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_sampler
+import trace_reference
 from redsim import _sampler_py
-from redsim.analysis import avg_entanglement, branch_concurrence
+from redsim.analysis import avg_entanglement, branch_concurrence, build_curve
 from redsim.locc import (
     BranchState,
     build_transition_matrix,
@@ -20,7 +23,9 @@ from redsim.locc import (
     vac_class_weight,
     w_class_weight,
 )
-from redsim.lossy import w_branch
+from redsim.lossy import BENCHMARK_MODES, w_branch
+from redsim.qcore import DensityOperator, partial_trace
+from redsim.resources import w_sigma, w_state
 
 kappas = st.floats(0.0, 1.0)
 unit_ends = st.sampled_from((0.0, 1.0)) | kappas
@@ -107,3 +112,60 @@ def test_class_counts_match_scalar_reference(seed, start, count, m, kappa):
         warnings.simplefilter("error", RuntimeWarning)
         fast = _sampler_py.class_counts(seed, start, count, m, kappa)
     assert fast == scalar_sampler.class_counts(seed, start, count, m, kappa)
+
+
+@st.composite
+def traced_states(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, (1 << 32) - 1)))
+    dim = 1 << n
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = raw @ raw.conj().T
+    keep = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return DensityOperator(mat / np.trace(mat)), keep
+
+
+@settings(deadline=None)
+@given(traced_states())
+def test_partial_trace_matches_sequential_reference(case):
+    rho, keep = case
+    fast = partial_trace(rho, keep).matrix
+    reference = trace_reference.partial_trace(rho, keep).matrix
+    assert fast.shape == reference.shape
+    assert np.max(np.abs(fast - reference)) <= 1e-14
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10))
+def test_w_pair_reductions_match_reference_exactly(n):
+    rho = w_state(n).density()
+    for pair in itertools.combinations(range(n), 2):
+        fast = partial_trace(rho, pair).matrix
+        assert np.array_equal(fast, trace_reference.partial_trace(rho, pair).matrix)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10))
+def test_w_sigma_matches_outer_product_exactly(n):
+    for lost in range(n - 1):
+        fast = w_sigma(n, lost).matrix
+        assert fast.tobytes() == trace_reference.w_sigma(n, lost).matrix.tobytes()
+
+
+@st.composite
+def curve_specs(draw):
+    resource = draw(st.sampled_from(("w", "ghz", "twocentered")))
+    mode = draw(st.sampled_from(BENCHMARK_MODES))
+    low = 4 if resource == "twocentered" else 3
+    n = draw(st.integers(low, 12))
+    rounds = draw(st.integers(1, 20))
+    points = draw(st.lists(unit_ends, min_size=2, max_size=12, unique=True))
+    return resource, n, rounds, sorted(points), mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_specs())
+def test_curves_stay_in_unit_interval_and_never_rise(spec):
+    values = build_curve(*spec).values
+    assert np.all(values >= 0.0) and np.all(values <= 1.0)
+    assert np.all(np.diff(values) <= 1e-12)

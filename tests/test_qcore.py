@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,18 @@ class TestPartialTrace:
         rho = random_density(rng, 4)
         reduced = partial_trace(rho, {0, 2})
         assert_physical(reduced)
+
+    def test_pair_reduction_allocates_no_full_size_temporary(self):
+        # numpy reports its buffers to tracemalloc; tracing one qubit at a
+        # time peaked at 20 MiB here, the diagonal-view einsum at a few KiB.
+        rho = w_sigma(11, 0)
+        tracemalloc.start()
+        try:
+            partial_trace(rho, (3, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestApplyKraus:
