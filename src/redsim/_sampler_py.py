@@ -2,20 +2,21 @@
 
 Every draw comes from a counter-based SplitMix64 stream and is a pure
 function of ``(seed, sample, draw)``, so a lane of samples can run side by
-side without changing any draw.  Class weights are tabulated per
-``(lost, m, j)`` with the scalar multiply order; each round walks the
-outcome classes from ``j = m`` down through a sequential cumulative sum; and
-a block adds its sample values in index order.  The kernel therefore returns
-the same bits as the one-sample-at-a-time reference in
-``tests/scalar_sampler.py``.
+side without changing any draw.  Class weights are rows of the binomial
+table ``locc._binomial_rows``, laid out per ``(lost, m)``; each round walks
+the outcome classes from ``j = m`` down through a sequential cumulative sum;
+and a block adds its sample values in index order.  The kernel therefore
+returns the same bits as the one-sample-at-a-time reference in
+``tests/scalar_sampler.py``, which reads the same table.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
+
+from .locc import _binomial_rows
 
 BACKEND_NAME = "python"
 
@@ -51,42 +52,22 @@ def _chunks(start: int, count: int):
         yield start + offset, min(_LANES, count - offset)
 
 
-def _w_class(m: int, j: int, kappa: float, omk: float) -> float:
-    base = 1.0
-    for _ in range(m - j):
-        base *= kappa
-    for _ in range(j - 1):
-        base *= omk
-    return float(math.comb(m, j)) * j * base / m
-
-
-def _vac_class(m: int, j: int, kappa: float, omk: float) -> float:
-    base = 1.0
-    for _ in range(m - j):
-        base *= kappa
-    for _ in range(j):
-        base *= omk
-    return float(math.comb(m, j)) * base
-
-
 def _class_rows(n_parties: int, kappas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """W and vacuum class weights, one row per ``lost * (n + 1) + m``.
 
     Column ``c`` holds class ``j = n - c``, so a row runs from ``j = n`` down
     to ``j = 0``; classes above ``m`` stay zero and add nothing to a prefix sum.
+    The W weight of class ``j`` is ``rows[m - 1][j - 1]`` and the vacuum
+    weight ``rows[m][j]``, both read reversed.
     """
     size = n_parties + 1
     w_rows = np.zeros(((n_parties - 1) * size, size))
     vac_rows = np.zeros_like(w_rows)
     for lost in range(n_parties - 1):
-        kappa = float(kappas[lost])
-        omk = 1.0 - kappa
+        rows = _binomial_rows(n_parties - lost, float(kappas[lost]))
         for m in range(3, n_parties - lost + 1):
-            row = lost * size + m
-            for j in range(m + 1):
-                if j >= 1:
-                    w_rows[row, n_parties - j] = _w_class(m, j, kappa, omk)
-                vac_rows[row, n_parties - j] = _vac_class(m, j, kappa, omk)
+            w_rows[lost * size + m, n_parties - m : n_parties] = rows[m - 1][::-1]
+            vac_rows[lost * size + m, n_parties - m :] = rows[m][::-1]
     return w_rows, vac_rows
 
 
@@ -165,12 +146,8 @@ def mc_accumulate(
 
 def class_counts(seed: int, start: int, count: int, m: int, kappa: float) -> list[int]:
     """Single-round keep-count tallies for a pure W start, indexed 0..m."""
-    omk = 1.0 - kappa
-    bounds = []
-    acc = 0.0
-    for j in range(m, 0, -1):
-        acc += _w_class(m, j, kappa, omk)
-        bounds.append(acc)
+    # Running bounds of the W classes j = m..1 (np.cumsum adds in order).
+    bounds = np.cumsum(_binomial_rows(m - 1, kappa)[m - 1][::-1])
     counts = np.zeros(m + 1, dtype=np.int64)
     for first, lanes in _chunks(start, count):
         u = _u01(_substreams(seed, first, lanes), 0)

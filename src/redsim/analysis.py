@@ -155,13 +155,16 @@ def branch_optima(
     )
 
 
+def _loss_average(n_parties: int, eps: float, values: Sequence[float]) -> float:
+    """Per-loss values weighted by the loss-count distribution at ``eps``."""
+    weights = lossy._loss_row(n_parties, eps)
+    return sum(weights[lost] * values[lost] for lost in range(n_parties - 1))
+
+
 def fom_lower_bound(n_parties: int, rounds: int, eps: float) -> float:
     """Loss-averaged, strength-optimized expected pair concurrence of a W resource."""
     optima = branch_optima(n_parties, rounds)
-    return sum(
-        lossy.loss_weight(n_parties, lost, eps) * optima[lost].value
-        for lost in range(n_parties - 1)
-    )
+    return _loss_average(n_parties, eps, [res.value for res in optima])
 
 
 @lru_cache(maxsize=256)
@@ -177,11 +180,7 @@ def fom_fixed_kappa(n_parties: int, rounds: int, eps: float, kappa: float) -> fl
     """Same loss average with one fixed measurement strength (no optimization)."""
     if not 3 <= n_parties <= 12:
         raise ValueError(f"party count must be in [3, 12], got {n_parties}")
-    values = _fixed_kappa_values(n_parties, rounds, kappa)
-    return sum(
-        lossy.loss_weight(n_parties, lost, eps) * values[lost]
-        for lost in range(n_parties - 1)
-    )
+    return _loss_average(n_parties, eps, _fixed_kappa_values(n_parties, rounds, kappa))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 argument error, 2 i/o error, 3 analytic no-result
 (for example, curves that never cross).  Output files are written to a
 temporary name and renamed on success, so failed runs never leave partial
-files behind.
+files behind; they get the mode the process umask gives a new file.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -242,7 +246,7 @@ def cmd_advantage(args) -> int:
     grid = analysis.default_grid()
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        ghz_slope = analysis.derivative_at_zero(lambda e: lossy.ghz_benchmark(n, e))
+        ghz_slope = float(2 - n)  # d/de (1 - e)^(n - 2) at e = 0
         ratio = analysis.advantage_ratio(n, args.rounds)
         curve_w = analysis.build_curve("w", n, args.rounds, grid)
         curve_ref = analysis.build_curve(args.vs, n, args.rounds, grid, args.mode)

@@ -6,7 +6,9 @@ weak measurement.  Outcome 0 keeps a party in the game, outcome 1 drops it
 symmetric, a whole round is summarized by the count ``j`` of keep-outcomes,
 and a measurement branch by three numbers: the live-party count plus the
 unnormalized weights of its entangled (W) and separable components.  All
-class weights come from one binomial table built by Pascal's rule.
+class weights come from one binomial table built by Pascal's rule,
+``_binomial_rows``; the loss weights of ``lossy``, the sampling kernel and
+the Monte Carlo class histogram read the same table.
 
 The W weight evolves on its own, as the finite Markov chain of
 ``build_transition_matrix``; branch scores are read off powers of it.

@@ -3,16 +3,16 @@ and closed-form benchmarks for the GHZ-like resources.
 
 Only the helper links are lossy; the two target parties always receive
 their qubits.  Losses are independent with the same erasure probability on
-every link.
+every link, so the loss count is binomial: its weights are one row of the
+table ``locc._binomial_rows`` at strength ``eps``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
-from .locc import BranchState
+from .locc import BranchState, _binomial_rows
 from .qcore import DensityOperator, partial_trace
 from .resources import Graph, TwoCenteredLayout, graph_state, w_sigma
 
@@ -38,15 +38,21 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"loss probability must be in [0, 1], got {eps}")
 
 
+def _loss_row(n_parties: int, eps: float) -> list[float]:
+    """Loss-count weights indexed by ``lost``: with h = n - 2 helpers, entry
+    ``lost`` is rows[h][h - lost] = C(h, lost) eps^lost (1-eps)^(h-lost)."""
+    _check_eps(eps)
+    helpers = n_parties - 2
+    return _binomial_rows(helpers, eps)[helpers][::-1]
+
+
 def loss_weight(n_parties: int, lost: int, eps: float) -> float:
     """Probability that exactly ``lost`` of the helper qubits are erased."""
     if n_parties < 2:
         raise ValueError(f"party count must be at least 2, got {n_parties}")
     if not 0 <= lost <= n_parties - 2:
         raise ValueError(f"lost count must be in [0, {n_parties - 2}], got {lost}")
-    _check_eps(eps)
-    helpers = n_parties - 2
-    return math.comb(helpers, lost) * eps**lost * (1.0 - eps) ** (helpers - lost)
+    return _loss_row(n_parties, eps)[lost]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ golden-gamma constant and ``mix`` the SplitMix64 finalizer.  Every draw is a
 pure function of ``(seed, sample index, draw index)``, so results do not
 depend on batching.  The one kernel, ``redsim._sampler_py``, runs lanes
 of samples at once with numpy and matches the scalar reference in
-``tests/scalar_sampler.py`` bit for bit.
+``tests/scalar_sampler.py`` bit for bit.  Class weights, here and in the
+kernel, are rows of the binomial table ``locc._binomial_rows``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from . import _sampler_py as _backend
 from . import analysis
-from .locc import w_class_weight
+from .locc import _binomial_rows
 
 BACKEND = _backend.BACKEND_NAME
 
@@ -155,9 +156,10 @@ def mc_class_histogram(m: int, kappa: float, samples: int, seed: int) -> ClassHi
         part = _backend.class_counts(seed, start, count, m, kappa)
         for j, c in enumerate(part):
             counts[j] += c
+    weights = _binomial_rows(m - 1, kappa)[m - 1]  # class j at index j - 1
     chi_square = 0.0
     for j in range(1, m + 1):
-        expected = samples * w_class_weight(m, j, kappa)
+        expected = samples * weights[j - 1]
         if expected > 0.0:
             gap = counts[j] - expected
             chi_square += gap * gap / expected

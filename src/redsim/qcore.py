@@ -97,11 +97,25 @@ class DensityOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        mat = np.array(matrix, dtype=np.complex128)
+        self.matrix = self._checked(np.array(matrix, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a fresh complex matrix that nothing else refers to, without a copy.
+
+        Internal producers only: the public constructor copies, so that no
+        caller-owned array is ever shared.
+        """
+        op = cls.__new__(cls)
+        op.matrix = cls._checked(np.asarray(matrix, dtype=np.complex128))
+        return op
+
+    @staticmethod
+    def _checked(mat: np.ndarray) -> np.ndarray:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density operator must be a square matrix")
         _qubit_count(mat.shape[0], "density operator")
-        self.matrix = mat
+        return mat
 
     @property
     def dim(self) -> int:

@@ -135,7 +135,8 @@ def w_sigma(n_parties: int, lost: int) -> DensityOperator:
     state with weight (n - lost)/n.  Equals the partial trace of the full
     W projector over the lost qubits.  Only the (m+1) x (m+1) block on the
     vacuum and the m single-excitation states is written into a zeroed
-    matrix, so no full-size outer product is formed.
+    matrix, which the operator adopts without a copy, so the rest of it is
+    never touched.
     """
     if not 2 <= n_parties <= MAX_QUBITS:
         raise ValueError(f"party count must be in [2, {MAX_QUBITS}], got {n_parties}")
@@ -147,7 +148,7 @@ def w_sigma(n_parties: int, lost: int) -> DensityOperator:
     mat = np.zeros((1 << m, 1 << m), dtype=np.complex128)
     mat[np.ix_(support, support)] = (m / n_parties) * np.outer(amp, amp.conj())
     mat[0, 0] += lost / n_parties
-    return DensityOperator(mat)
+    return DensityOperator._adopt(mat)
 
 
 def edge_list_text(g: Graph) -> str:

@@ -1,22 +1,22 @@
 """Scalar reference for the sampling kernel, one sample at a time.
 
 The vectorized ``redsim._sampler_py`` must match it bit for bit: same
-counter-based SplitMix64 generator, same class-weight arithmetic built from
-multiply, divide and compare only, same accumulation order.
+counter-based SplitMix64 generator, same class weights (entries of the one
+binomial table ``redsim.locc._binomial_rows``, built once per call), same
+walk over the classes and same accumulation order.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
+
+from redsim.locc import _binomial_rows
 
 BACKEND_NAME = "python"
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / 9007199254740992.0
-
-_BINOM = [[float(math.comb(m, j)) for j in range(13)] for m in range(13)]
 
 
 def _mix(z: int) -> int:
@@ -31,26 +31,8 @@ def _u01(seed: int, t: int) -> float:
     return (x >> 11) * _INV_2_53
 
 
-def _w_class(m: int, j: int, kappa: float, omk: float) -> float:
-    base = 1.0
-    for _ in range(m - j):
-        base *= kappa
-    for _ in range(j - 1):
-        base *= omk
-    return _BINOM[m][j] * j * base / m
-
-
-def _vac_class(m: int, j: int, kappa: float, omk: float) -> float:
-    base = 1.0
-    for _ in range(m - j):
-        base *= kappa
-    for _ in range(j):
-        base *= omk
-    return _BINOM[m][j] * base
-
-
 def _sample_value(
-    sub: int, n_parties: int, rounds: int, eps: float, kappas: Sequence[float]
+    sub: int, n_parties: int, rounds: int, eps: float, tables: Sequence[list[list[float]]]
 ) -> float:
     t = 0
     lost = 0
@@ -61,8 +43,7 @@ def _sample_value(
     m = n_parties - lost
     w_w = m / n_parties
     w_vac = lost / n_parties
-    kappa = kappas[lost]
-    omk = 1.0 - kappa
+    rows = tables[lost]
     for _ in range(rounds):
         if m <= 2:
             break
@@ -74,8 +55,8 @@ def _sample_value(
         sel_w = 0.0
         sel_vac = 0.0
         for j in range(m, -1, -1):
-            w_part = w_w * _w_class(m, j, kappa, omk) if j >= 1 else 0.0
-            vac_part = w_vac * _vac_class(m, j, kappa, omk)
+            w_part = w_w * rows[m - 1][j - 1] if j >= 1 else 0.0
+            vac_part = w_vac * rows[m][j]
             if j >= 2:
                 child_w = w_part
                 child_vac = vac_part
@@ -92,7 +73,7 @@ def _sample_value(
             # Rounding dust pushed the target past the total: all-drop class.
             sel = 0
             sel_w = 0.0
-            sel_vac = w_vac * _vac_class(m, 0, kappa, omk)
+            sel_vac = w_vac * rows[m][0]
         m = sel
         total = sel_w + sel_vac
         if total <= 0.0:
@@ -119,12 +100,14 @@ def mc_accumulate(
     kappas: Sequence[float],
 ) -> tuple[float, float]:
     """Sum and sum of squares of the sample scores for one index block."""
-    table = [float(k) for k in kappas]
+    tables = [
+        _binomial_rows(n_parties - lost, float(kappas[lost])) for lost in range(n_parties - 1)
+    ]
     acc = 0.0
     acc_sq = 0.0
     for k in range(count):
         sub = _mix((seed + (start + k + 1) * _GOLDEN) & _MASK)
-        value = _sample_value(sub, n_parties, rounds, eps, table)
+        value = _sample_value(sub, n_parties, rounds, eps, tables)
         acc += value
         acc_sq += value * value
     return acc, acc_sq
@@ -133,14 +116,14 @@ def mc_accumulate(
 def class_counts(seed: int, start: int, count: int, m: int, kappa: float) -> list[int]:
     """Single-round keep-count tallies for a pure W start, indexed 0..m."""
     counts = [0] * (m + 1)
-    omk = 1.0 - kappa
+    row = _binomial_rows(m - 1, kappa)[m - 1]
     for k in range(count):
         sub = _mix((seed + (start + k + 1) * _GOLDEN) & _MASK)
         u = _u01(sub, 0)
         acc = 0.0
         sel = 1
         for j in range(m, 0, -1):
-            acc += _w_class(m, j, kappa, omk)
+            acc += row[j - 1]
             if u < acc:
                 sel = j
                 break

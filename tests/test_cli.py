@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -132,6 +134,18 @@ class TestMarkov:
     def test_too_small_chain_exits_one(self):
         assert main(["markov", "--n", "2", "--kappa", "0.5"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+    )
+    def test_output_file_honours_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "chain.tsv"
+        previous = os.umask(umask)
+        try:
+            assert main(["markov", "--n", "3", "--kappa", "0.5", "-o", str(out)]) == EXIT_OK
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
     def test_large_chain_rows_sum_to_one(self, tmp_path):
         out = tmp_path / "chain.tsv"
         assert main(["markov", "--n", "1100", "--kappa", "0.3", "-o", str(out)]) == EXIT_OK
@@ -179,6 +193,12 @@ class TestAdvantage:
         assert [row["n"] for row in rows] == [4, 5, 6]
         for row in rows:
             assert abs(row["ghz_slope"] + (row["n"] - 2)) < 1e-3 * (row["n"] - 2)
+
+    def test_ghz_slope_is_exact(self, capsys):
+        code = main(["advantage", "--n-min", "4", "--n-max", "12", "--vs", "ghz", "--json"])
+        assert code == EXIT_OK
+        for row in json.loads(capsys.readouterr().out)["rows"]:
+            assert row["ghz_slope"] == -(row["n"] - 2)
 
     def test_bad_range_exits_one(self):
         assert main(["advantage", "--n-min", "8", "--n-max", "4"]) == EXIT_USAGE

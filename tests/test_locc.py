@@ -97,6 +97,18 @@ class TestClassWeights:
         assert vac_class_weight(4, 4, 0.0) == 1.0
         assert vac_class_weight(4, 2, 0.0) == 0.0
 
+    @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.83])
+    def test_table_matches_closed_forms(self, kappa):
+        # The one binomial table against C(m-1, j-1) k^(m-j) (1-k)^(j-1) and
+        # C(m, j) k^(m-j) (1-k)^j.
+        for m in range(1, 61):
+            for j in range(m + 1):
+                vac = math.comb(m, j) * kappa ** (m - j) * (1 - kappa) ** j
+                assert vac_class_weight(m, j, kappa) == pytest.approx(vac, rel=1e-12, abs=0)
+                if j >= 1:
+                    w = math.comb(m - 1, j - 1) * kappa ** (m - j) * (1 - kappa) ** (j - 1)
+                    assert w_class_weight(m, j, kappa) == pytest.approx(w, rel=1e-12, abs=0)
+
     def test_large_live_count_is_finite(self):
         weight = w_class_weight(1100, 550, 0.5)
         assert math.isfinite(weight) and 0.0 < weight < 1.0

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from redsim.lossy import (
+    _loss_row,
     enumerate_loss_patterns,
     ghz_benchmark,
     loss_weight,
@@ -26,6 +29,20 @@ class TestLossWeight:
     def test_weights_sum_to_one(self, n, eps):
         total = sum(loss_weight(n, i, eps) for i in range(n - 1))
         assert abs(total - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.83])
+    def test_matches_closed_form(self, eps):
+        for helpers in range(61):
+            for lost in range(helpers + 1):
+                closed = math.comb(helpers, lost) * eps**lost * (1 - eps) ** (helpers - lost)
+                weight = loss_weight(helpers + 2, lost, eps)
+                assert weight == pytest.approx(closed, rel=1e-12, abs=0)
+
+    def test_large_network_is_finite(self):
+        # C(1098, 550) overflows a float; the table never forms it.
+        weight = loss_weight(1100, 550, 0.5)
+        assert math.isfinite(weight) and 0.0 < weight < 1.0
+        assert math.fsum(_loss_row(1100, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):

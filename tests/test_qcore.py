@@ -59,6 +59,20 @@ class TestConstructors:
         with pytest.raises(ValueError):
             DensityOperator(np.zeros((2, 4)))
 
+    def test_density_copies_caller_data(self):
+        mat = np.eye(4, dtype=np.complex128) / 4
+        rho = DensityOperator(mat)
+        mat[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.25
+
+    def test_adopt_checks_shape_without_copying(self):
+        mat = np.eye(4, dtype=np.complex128) / 4
+        assert DensityOperator._adopt(mat).matrix is mat
+        with pytest.raises(ValueError):
+            DensityOperator._adopt(np.zeros((2, 4), dtype=np.complex128))
+        with pytest.raises(ValueError):
+            DensityOperator._adopt(np.zeros((3, 3), dtype=np.complex128))
+
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
             Ket(np.zeros(1 << 13))

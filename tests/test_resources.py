@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,17 @@ class TestWSigma:
         for n in range(3, 9):
             value = concurrence(w_sigma(n, n - 2))
             assert abs(value - 2 / n) < 1e-12
+
+    def test_matrix_is_not_copied(self):
+        # The 11-qubit matrix takes 64 MiB; a copy of it would double that.
+        tracemalloc.start()
+        try:
+            sigma = w_sigma(11, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sigma.matrix.nbytes == 64 << 20
+        assert peak < 96 << 20
 
     def test_range_check(self):
         with pytest.raises(ValueError):
