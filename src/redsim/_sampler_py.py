@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .locc import _binomial_rows
+from .locc import _binomial_row, _binomial_rows
 
 BACKEND_NAME = "python"
 
@@ -57,18 +57,23 @@ def _class_rows(n_parties: int, kappas: Sequence[float]) -> tuple[np.ndarray, np
 
     Column ``c`` holds class ``j = n - c``, so a row runs from ``j = n`` down
     to ``j = 0``; classes above ``m`` stay zero and add nothing to a prefix sum.
-    The W weight of class ``j`` is ``rows[m - 1][j - 1]`` and the vacuum
-    weight ``rows[m][j]``, both read reversed.
+    One Pascal pass over the strengths of every loss count yields row ``k``
+    of each loss count's table: it is the W row of ``m = k + 1`` and the
+    vacuum row of ``m = k``, read reversed, for every loss count that leaves
+    ``m`` live parties or more.
     """
     size = n_parties + 1
-    w_rows = np.zeros(((n_parties - 1) * size, size))
+    w_rows = np.zeros((n_parties - 1, size, size))
     vac_rows = np.zeros_like(w_rows)
-    for lost in range(n_parties - 1):
-        rows = _binomial_rows(n_parties - lost, float(kappas[lost]))
-        for m in range(3, n_parties - lost + 1):
-            w_rows[lost * size + m, n_parties - m : n_parties] = rows[m - 1][::-1]
-            vac_rows[lost * size + m, n_parties - m :] = rows[m][::-1]
-    return w_rows, vac_rows
+    for k, row in enumerate(_binomial_rows(n_parties, np.asarray(kappas, dtype=float))):
+        rev = row[:, ::-1]
+        m = k + 1  # W row: classes j = m..1
+        if 3 <= m <= n_parties:
+            w_rows[: n_parties - m + 1, m, n_parties - m : n_parties] = rev[: n_parties - m + 1]
+        m = k  # vacuum row: classes j = m..0
+        if m >= 3:
+            vac_rows[: n_parties - m + 1, m, n_parties - m :] = rev[: n_parties - m + 1]
+    return w_rows.reshape(-1, size), vac_rows.reshape(-1, size)
 
 
 def _sample_values(
@@ -147,7 +152,7 @@ def mc_accumulate(
 def class_counts(seed: int, start: int, count: int, m: int, kappa: float) -> list[int]:
     """Single-round keep-count tallies for a pure W start, indexed 0..m."""
     # Running bounds of the W classes j = m..1 (np.cumsum adds in order).
-    bounds = np.cumsum(_binomial_rows(m - 1, kappa)[m - 1][::-1])
+    bounds = np.cumsum(_binomial_row(m - 1, kappa)[::-1])
     counts = np.zeros(m + 1, dtype=np.int64)
     for first, lanes in _chunks(start, count):
         u = _u01(_substreams(seed, first, lanes), 0)

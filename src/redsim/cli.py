@@ -74,7 +74,8 @@ def _add_grid_flags(parser) -> None:
     parser.add_argument("--eps-start", type=float, default=0.0, help="first grid point")
     parser.add_argument("--eps-stop", type=float, default=1.0, help="last grid point")
     parser.add_argument("--points", type=int, default=analysis.DEFAULT_GRID_POINTS,
-                        help="number of grid points (default 101)")
+                        help=f"number of grid points (default {analysis.DEFAULT_GRID_POINTS}, "
+                        f"at most {analysis.MAX_GRID_POINTS})")
 
 
 def build_parser() -> _Parser:
@@ -151,10 +152,8 @@ def cmd_curve(args) -> int:
             if not 0.0 <= args.kappa <= 1.0:
                 raise UsageError(f"--kappa must be in [0, 1], got {args.kappa}")
             grid = _grid(args)
-            values = [
-                analysis.fom_fixed_kappa(args.n, args.rounds, e, args.kappa) for e in grid
-            ]
-            curve = analysis.Curve(grid, np.array(values), "w", args.n, args.rounds)
+            values = analysis.fom_fixed_kappa(args.n, args.rounds, grid, args.kappa)
+            curve = analysis.Curve(grid, values, "w", args.n, args.rounds)
         else:
             curve = _curve_for(args, "w")
             for lost, res in enumerate(analysis.branch_optima(args.n, args.rounds)):

@@ -7,20 +7,26 @@ symmetric, a whole round is summarized by the count ``j`` of keep-outcomes,
 and a measurement branch by three numbers: the live-party count plus the
 unnormalized weights of its entangled (W) and separable components.  All
 class weights come from one binomial table built by Pascal's rule,
-``_binomial_rows``; the loss weights of ``lossy``, the sampling kernel and
-the Monte Carlo class histogram read the same table.
+``_binomial_rows``, which yields its rows one at a time and takes either one
+strength or a 1-D array of strengths (one Pascal pass for all of them, each
+row bit-identical to the row of that strength alone).  Callers that need one
+row take ``_binomial_row`` and keep O(k) memory; the loss weights of
+``lossy``, the sampling kernel and the Monte Carlo class histogram read the
+same table.
 
 The W weight evolves on its own, as the finite Markov chain of
 ``build_transition_matrix``; branch scores are read off powers of it.
-``evolve_branch`` and ``run_rounds`` are the per-branch view of both weights
-that the tests check the chain against.
+``_chain_stack`` builds that chain for many strengths at once, as one
+``(K, n, n)`` array, and ``build_transition_matrix`` is its one-strength
+case.  ``evolve_branch`` and ``run_rounds`` are the per-branch view of both
+weights that the tests check the chain against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,17 +107,33 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"measurement strength must be in [0, 1], got {kappa}")
 
 
-def _binomial_rows(k_max: int, kappa: float) -> list[list[float]]:
-    """rows[k][i] = C(k, i) (1-kappa)^i kappa^(k-i) for 0 <= i <= k <= k_max.
+def _binomial_rows(k_max: int, kappa: float | np.ndarray) -> Iterator[np.ndarray]:
+    """Yield rows k = 0..k_max with row[..., i] = C(k, i) (1-kappa)^i kappa^(k-i).
 
-    Pascal's rule never forms a huge coefficient or a tiny power on its own.
+    ``kappa`` is one strength or a 1-D array of K strengths; row k then has
+    shape (k + 1,) or (K, k + 1).  Pascal's rule never forms a huge
+    coefficient or a tiny power on its own, and it is elementwise, so every
+    strength of an array gets the bits it gets alone.  Only the current row
+    is held.
     """
+    kappa = np.asarray(kappa, dtype=float)[..., None]
     keep = 1.0 - kappa
-    rows = [[1.0]]
-    for _ in range(k_max):
-        prev = rows[-1]
-        rows.append([kappa * a + keep * b for a, b in zip(prev + [0.0], [0.0] + prev)])
-    return rows
+    row = np.ones(kappa.shape)
+    yield row
+    for k in range(1, k_max + 1):
+        nxt = np.empty(kappa.shape[:-1] + (k + 1,))
+        np.multiply(kappa, row, out=nxt[..., :-1])
+        nxt[..., -1] = 0.0
+        nxt[..., 1:] += keep * row
+        row = nxt
+        yield row
+
+
+def _binomial_row(k: int, kappa: float | np.ndarray) -> np.ndarray:
+    """Row ``k`` of the binomial table, in O(k) memory."""
+    for row in _binomial_rows(k, kappa):
+        pass
+    return row
 
 
 def w_class_weight(m: int, j: int, kappa: float) -> float:
@@ -126,7 +148,7 @@ def w_class_weight(m: int, j: int, kappa: float) -> float:
     if not 1 <= j <= m:
         raise ValueError(f"keep count must be in [1, {m}], got {j}")
     _check_kappa(kappa)
-    return _binomial_rows(m - 1, kappa)[m - 1][j - 1]
+    return float(_binomial_row(m - 1, kappa)[j - 1])
 
 
 def vac_class_weight(m: int, j: int, kappa: float) -> float:
@@ -140,7 +162,7 @@ def vac_class_weight(m: int, j: int, kappa: float) -> float:
     if not 0 <= j <= m:
         raise ValueError(f"keep count must be in [0, {m}], got {j}")
     _check_kappa(kappa)
-    return _binomial_rows(m, kappa)[m][j]
+    return float(_binomial_row(m, kappa)[j])
 
 
 @dataclass(frozen=True)
@@ -198,11 +220,12 @@ def evolve_branch(branch: BranchState, kappa: float) -> list[OutcomeClass]:
         raise ValueError("cannot measure a branch with no live parties")
     _check_kappa(kappa)
     m = branch.m
-    rows = _binomial_rows(m, kappa)
+    *_, w_row, vac_row = _binomial_rows(m, kappa)
+    w_row, vac_row = w_row.tolist(), vac_row.tolist()
     out: list[OutcomeClass] = []
     for j in range(m, -1, -1):
-        w_part = branch.w_weight * rows[m - 1][j - 1] if j >= 1 else 0.0
-        vac_part = branch.vac_weight * rows[m][j]
+        w_part = branch.w_weight * w_row[j - 1] if j >= 1 else 0.0
+        vac_part = branch.vac_weight * vac_row[j]
         if j >= 2:
             child = BranchState(j, w_part, vac_part)
         else:
@@ -280,6 +303,23 @@ class TransitionMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _chain_stack(n_parties: int, kappas: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Lossless chains at every strength of ``kappas``, shape (K, n, n).
+
+    Keep count j lands in column n_parties - j: W_j, then Bell and sep.
+    Row k of the binomial table is the W_(k+1) row, so the rows are written
+    as the table yields them.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    chains = np.zeros((kappas.size, n_parties, n_parties))
+    for k, row in enumerate(_binomial_rows(n_parties - 1, kappas)):
+        if k >= 2:
+            chains[:, n_parties - 1 - k, n_parties - 1 - k:] = row[:, ::-1]
+    chains[:, -2, -2] = 1.0
+    chains[:, -1, -1] = 1.0
+    return chains
+
+
 def build_transition_matrix(n_parties: int, kappa: float) -> TransitionMatrix:
     """Per-round chain of the lossless protocol.
 
@@ -292,14 +332,7 @@ def build_transition_matrix(n_parties: int, kappa: float) -> TransitionMatrix:
         raise ValueError(f"the chain needs at least 3 parties, got {n_parties}")
     _check_kappa(kappa)
     labels = tuple(f"W{m}" for m in range(n_parties, 2, -1)) + ("Bell", "sep")
-    rows = _binomial_rows(n_parties - 1, kappa)
-    matrix = np.zeros((n_parties, n_parties))
-    # Keep count j lands in column n_parties - j: W_j, then Bell and sep.
-    for m in range(n_parties, 2, -1):
-        matrix[n_parties - m, n_parties - m:] = rows[m - 1][::-1]
-    matrix[-2, -2] = 1.0
-    matrix[-1, -1] = 1.0
-    return TransitionMatrix(labels, matrix)
+    return TransitionMatrix(labels, _chain_stack(n_parties, [kappa])[0])
 
 
 def r_step_distribution(tm: TransitionMatrix, start: str, r: int) -> np.ndarray:

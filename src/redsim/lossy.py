@@ -4,7 +4,8 @@ and closed-form benchmarks for the GHZ-like resources.
 Only the helper links are lossy; the two target parties always receive
 their qubits.  Losses are independent with the same erasure probability on
 every link, so the loss count is binomial: its weights are one row of the
-table ``locc._binomial_rows`` at strength ``eps``.
+table ``locc._binomial_rows`` at strength ``eps``, built by
+``locc._binomial_row`` in O(n) memory.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .locc import BranchState, _binomial_rows
+import numpy as np
+
+from .locc import BranchState, _binomial_row
 from .qcore import DensityOperator, partial_trace
 from .resources import Graph, TwoCenteredLayout, graph_state, w_sigma
 
@@ -38,12 +41,15 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"loss probability must be in [0, 1], got {eps}")
 
 
-def _loss_row(n_parties: int, eps: float) -> list[float]:
-    """Loss-count weights indexed by ``lost``: with h = n - 2 helpers, entry
-    ``lost`` is rows[h][h - lost] = C(h, lost) eps^lost (1-eps)^(h-lost)."""
-    _check_eps(eps)
-    helpers = n_parties - 2
-    return _binomial_rows(helpers, eps)[helpers][::-1]
+def _loss_row(n_parties: int, eps: float | np.ndarray) -> np.ndarray:
+    """Loss-count weights along the last axis, indexed by ``lost``, for one
+    loss probability or a 1-D array of them: with h = n - 2 helpers, entry
+    ``lost`` is row h of the binomial table at i = h - lost, that is
+    C(h, lost) eps^lost (1-eps)^(h-lost)."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
+        raise ValueError(f"loss probability must be in [0, 1], got {eps}")
+    return _binomial_row(n_parties - 2, eps)[..., ::-1]
 
 
 def loss_weight(n_parties: int, lost: int, eps: float) -> float:
@@ -52,7 +58,7 @@ def loss_weight(n_parties: int, lost: int, eps: float) -> float:
         raise ValueError(f"party count must be at least 2, got {n_parties}")
     if not 0 <= lost <= n_parties - 2:
         raise ValueError(f"lost count must be in [0, {n_parties - 2}], got {lost}")
-    return _loss_row(n_parties, eps)[lost]
+    return float(_loss_row(n_parties, eps)[lost])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import _sampler_py as _backend
 from . import analysis
-from .locc import _binomial_rows
+from .locc import _binomial_row
 
 BACKEND = _backend.BACKEND_NAME
 
@@ -156,7 +156,7 @@ def mc_class_histogram(m: int, kappa: float, samples: int, seed: int) -> ClassHi
         part = _backend.class_counts(seed, start, count, m, kappa)
         for j, c in enumerate(part):
             counts[j] += c
-    weights = _binomial_rows(m - 1, kappa)[m - 1]  # class j at index j - 1
+    weights = _binomial_row(m - 1, kappa).tolist()  # class j at index j - 1
     chi_square = 0.0
     for j in range(1, m + 1):
         expected = samples * weights[j - 1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from redsim.locc import _binomial_rows
+from redsim.locc import _binomial_row, _binomial_rows
 
 BACKEND_NAME = "python"
 
@@ -101,7 +101,8 @@ def mc_accumulate(
 ) -> tuple[float, float]:
     """Sum and sum of squares of the sample scores for one index block."""
     tables = [
-        _binomial_rows(n_parties - lost, float(kappas[lost])) for lost in range(n_parties - 1)
+        [row.tolist() for row in _binomial_rows(n_parties - lost, float(kappas[lost]))]
+        for lost in range(n_parties - 1)
     ]
     acc = 0.0
     acc_sq = 0.0
@@ -116,7 +117,7 @@ def mc_accumulate(
 def class_counts(seed: int, start: int, count: int, m: int, kappa: float) -> list[int]:
     """Single-round keep-count tallies for a pure W start, indexed 0..m."""
     counts = [0] * (m + 1)
-    row = _binomial_rows(m - 1, kappa)[m - 1]
+    row = _binomial_row(m - 1, kappa).tolist()
     for k in range(count):
         sub = _mix((seed + (start + k + 1) * _GOLDEN) & _MASK)
         u = _u01(sub, 0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from redsim import analysis
+from redsim import analysis, locc
 from redsim.analysis import (
     Curve,
     advantage_ratio,
@@ -22,6 +22,7 @@ from redsim.locc import BranchState
 from redsim.lossy import ghz_benchmark, loss_weight, w_branch
 from redsim.resources import w_sigma
 
+import optimizer_reference
 from dense_engine import dense_average
 
 # Stationary point of the four-party single-round objective
@@ -132,22 +133,67 @@ class TestFomLowerBound:
             for e in default_grid()
         ]
         calls = []
-        original = analysis.avg_entanglement
+        original = locc._chain_stack
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(analysis, "avg_entanglement", counting)
+        monkeypatch.setattr(locc, "_chain_stack", counting)
         values = [fom_fixed_kappa(n, rounds, e, kappa) for e in default_grid()]
-        assert len(calls) == n - 1
+        assert len(calls) == 1  # one stacked chain scores every loss branch
         assert values == expected
+        assert fom_fixed_kappa(n, rounds, default_grid(), kappa).tolist() == expected
+
+    def test_grid_average_matches_pointwise(self):
+        grid = default_grid(41)
+        assert fom_lower_bound(6, 2, grid).tolist() == [fom_lower_bound(6, 2, e) for e in grid]
 
     def test_cached_optima_match_direct_optimization(self):
         optima = branch_optima(5, 2)
         direct = optimize_kappa(w_branch(5, 1), 2)
         assert optima[1].kappa == direct.kappa
         assert optima[1].value == direct.value
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("rounds", [1, 5, 20])
+    def test_matches_per_branch_reference(self, n, rounds):
+        batched = branch_optima(n, rounds)
+        reference = optimizer_reference.branch_optima(n, rounds)
+        assert [r.kappa for r in batched] == [r.kappa for r in reference]
+        assert [r.evaluations for r in batched] == [r.evaluations for r in reference]
+        assert max(abs(a.value - b.value) for a, b in zip(batched, reference)) <= 1e-15
+
+    def test_one_chain_stack_per_search_step(self, monkeypatch):
+        # One scan, one call for both starting probes, then one per
+        # golden-section step of the slowest branch; none per branch.
+        calls = []
+        original = locc._chain_stack
+
+        def counting(n_parties, kappas):
+            calls.append(len(kappas))
+            return original(n_parties, kappas)
+
+        monkeypatch.setattr(locc, "_chain_stack", counting)
+        optima = analysis.branch_optima.__wrapped__(12, 20)
+        steps = max(res.evaluations for res in optima) - 101 - 2
+        assert len(calls) == 2 + steps
+        assert len(calls) <= 24
+        assert calls[:2] == [101, 2 * 11]
+
+    def test_scores_do_not_depend_on_chain_size_or_batch(self):
+        kappas = np.linspace(0.0, 1.0, 7)
+        for rounds in (1, 5, 20):
+            for n in range(3, 13):
+                scores = analysis._chain_scores(n, rounds, kappas)
+                for m in range(3, n + 1):
+                    alone = analysis._chain_scores(m, rounds, kappas)
+                    assert scores[:, n - m :].tolist() == alone.tolist()
+                for k, kappa in enumerate(kappas):
+                    alone = analysis._chain_scores(n, rounds, [kappa])
+                    assert scores[k].tolist() == alone[0].tolist()
 
 
 class TestCurve:
@@ -174,6 +220,9 @@ class TestCurve:
             Curve(np.array([0.0, 0.0, 1.0]), np.zeros(3), "ghz", 4)
         with pytest.raises(ValueError):
             Curve(np.array([0.0, 1.0]), np.array([0.5, 1.5]), "ghz", 4)
+        assert default_grid(analysis.MAX_GRID_POINTS).size == analysis.MAX_GRID_POINTS
+        with pytest.raises(ValueError):
+            default_grid(analysis.MAX_GRID_POINTS + 1)
 
     def test_every_resource_curve_is_monotone(self):
         grid = default_grid(41)

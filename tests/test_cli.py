@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import tracemalloc
 
 import pytest
 
@@ -86,6 +87,17 @@ class TestCurve:
         out = tmp_path / "x.tsv"
         assert main(["curve", "--resource", "w", "--n", "2", "-o", str(out)]) == EXIT_USAGE
         assert not out.exists()
+
+    def test_point_count_is_bounded_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["curve", "--resource", "w", "--n", "4", "--points", str(10**12)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert "100000" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     def test_unwritable_path_exits_two(self, tmp_path):
         target = tmp_path / "missing" / "file.tsv"

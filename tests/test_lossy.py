@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ class TestLossWeight:
         weight = loss_weight(1100, 550, 0.5)
         assert math.isfinite(weight) and 0.0 < weight < 1.0
         assert math.fsum(_loss_row(1100, 0.5)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_row_in_linear_memory(self):
+        # The table up to row 3998 would hold 8 M floats (64 MiB); one row
+        # holds 4 k (31 KiB).
+        tracemalloc.start()
+        try:
+            weight = loss_weight(4000, 2000, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(weight) and 0.0 < weight < 1.0
+        assert peak < 1 << 20
 
     def test_range_checks(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """Randomized invariants: the chain score against the per-branch reference,
+binomial rows over an array of strengths against one strength at a time,
 stochastic chain rows, normalized class weights, the sampling kernel against
 its scalar reference, the dense partial trace and W survivor states against
 their reference constructions, and the shape of every curve."""
@@ -17,6 +18,8 @@ from redsim import _sampler_py
 from redsim.analysis import avg_entanglement, branch_concurrence, build_curve
 from redsim.locc import (
     BranchState,
+    _binomial_row,
+    _binomial_rows,
     build_transition_matrix,
     evolve_branch,
     run_rounds,
@@ -49,6 +52,17 @@ def test_chain_score_matches_branch_reference(start, kappa, rounds):
         t.prob * branch_concurrence(t.branch) for t in run_rounds(start, kappa, rounds)
     )
     assert abs(avg_entanglement(start, kappa, rounds) - reference) < 1e-12
+
+
+@settings(deadline=None)
+@given(st.integers(0, 40), st.lists(unit_ends, min_size=1, max_size=8))
+def test_binomial_rows_over_strengths_match_one_at_a_time(k_max, strengths):
+    stacked = list(_binomial_rows(k_max, np.array(strengths)))
+    assert len(stacked) == k_max + 1
+    for i, kappa in enumerate(strengths):
+        alone = list(_binomial_rows(k_max, kappa))
+        assert [row[i].tolist() for row in stacked] == [row.tolist() for row in alone]
+        assert _binomial_row(k_max, kappa).tolist() == alone[-1].tolist()
 
 
 @settings(deadline=None)
